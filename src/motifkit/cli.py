@@ -12,7 +12,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 from .adaptive import covering_threshold, run_adaptive
 from .errors import CapacityError, MismatchError, MotifkitError, ParseError
@@ -29,8 +28,6 @@ from .rng import stream
 from .sampling import GraphletSampler
 from .tables import build_tables, load_tables
 from .treelets import enumerate_shapes, tables_for
-
-_DEFAULT_THREADS = os.cpu_count() or 1
 
 
 def _emit(obj) -> None:
@@ -50,17 +47,16 @@ def cmd_build(args) -> int:
         g = color_biased(g0, args.k, args.lam, rng)
     else:
         g = color_uniform(g0, args.k, rng)
+    os.makedirs(args.tables, exist_ok=True)  # a bad path fails before the DP
     t0 = time.monotonic()
     table = build_tables(
         g,
         skip_round=args.skip_round,
         zero_root=not (args.skip_round or args.all_rootings),
         vlc=args.vlc,
-        threads=args.threads,
-        out_dir=args.tables,
         progress=_emit,
     )
-    table.save_meta(
+    table.save(
         args.tables,
         {
             "command": "build",
@@ -83,53 +79,17 @@ def cmd_build(args) -> int:
 # sample
 
 
-def _uniform_worker(tables, g, seed, wid, quota, deadline, delta0, buffer_size):
-    rng = stream(seed, wid)
-    sampler = GraphletSampler(tables, g, rng, threshold=delta0, batch_size=buffer_size)
+def _run_uniform(tables, g, args, deadline):
+    sampler = GraphletSampler(tables, g, stream(args.seed))
     tallies: dict[int, int] = {}
     done = 0
-    while quota is None or done < quota:
+    while args.samples is None or done < args.samples:
         if deadline is not None and time.monotonic() >= deadline:
             break
         nodes, _tag = sampler.sample()
         sig = classify(g, nodes)
         tallies[sig] = tallies.get(sig, 0) + 1
         done += 1
-    return tallies, done
-
-
-def _run_uniform(tables, g, args, deadline):
-    workers = max(1, args.threads)
-    target = args.samples
-    if target is not None and target < workers:
-        workers = max(1, target)
-    quotas = [None] * workers
-    if target is not None:
-        base, extra = divmod(target, workers)
-        quotas = [base + (1 if w < extra else 0) for w in range(workers)]
-    if workers == 1:
-        parts = [
-            _uniform_worker(
-                tables, g, args.seed, 0, quotas[0], deadline, args.delta0, args.buffer
-            )
-        ]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futs = [
-                pool.submit(
-                    _uniform_worker,
-                    tables, g, args.seed, w, quotas[w], deadline,
-                    args.delta0, args.buffer,
-                )
-                for w in range(workers)
-            ]
-            parts = [f.result() for f in futs]
-    tallies: dict[int, int] = {}
-    done = 0
-    for part, n in parts:
-        done += n
-        for sig, c in part.items():
-            tallies[sig] = tallies.get(sig, 0) + c
     _emit({"event": "sampled", "samples": done})
     t_eff, p = effective_total(tables)
     sigma = {sig: spanning_tree_count(sig, tables.k) for sig in tallies}
@@ -152,19 +112,14 @@ def cmd_sample(args) -> int:
                 raise ValueError("ags needs --threshold or both --eps and --delta")
             cbar = covering_threshold(args.eps, args.delta, count_connected_graphs(tables.k))
         _emit({"event": "threshold", "cbar": cbar})
-        rng = stream(args.seed)
-        sampler = GraphletSampler(
-            tables, g, rng, threshold=args.delta0, batch_size=args.buffer
-        )
         report = run_adaptive(
             tables,
             g,
-            rng,
+            stream(args.seed),
             cbar=cbar,
             max_samples=args.samples,
             time_budget=args.time,
             progress=_emit,
-            sampler=sampler,
         )
     write_report_csv(report, args.out)
     if args.truth is not None:
@@ -216,7 +171,6 @@ def _parser() -> argparse.ArgumentParser:
     b.add_argument("--all-rootings", action="store_true",
                    help="store full-size entries at every root, not only color 0")
     b.add_argument("--vlc", action="store_true", help="variable-length count encoding")
-    b.add_argument("--threads", type=int, default=_DEFAULT_THREADS)
     b.set_defaults(func=cmd_build)
 
     s = sub.add_parser("sample", help="draw samples and write a report CSV")
@@ -229,11 +183,7 @@ def _parser() -> argparse.ArgumentParser:
     s.add_argument("--delta", type=float, default=None, help="covering failure odds (ags)")
     s.add_argument("--threshold", type=int, default=None,
                    help="covering threshold override (ags)")
-    s.add_argument("--delta0", type=int, default=4096,
-                   help="degree above which neighbor draws use the buffer")
-    s.add_argument("--buffer", type=int, default=1024, help="neighbor buffer batch size")
     s.add_argument("--seed", type=int, default=0, help="sampling seed")
-    s.add_argument("--threads", type=int, default=_DEFAULT_THREADS)
     s.add_argument("--out", required=True, help="report CSV path")
     s.add_argument("--truth", default=None,
                    help="ground-truth CSV; also writes a relative-error CSV")

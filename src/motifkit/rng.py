@@ -2,7 +2,7 @@
 
 Everything stochastic takes an explicit numpy Generator.  Streams are
 derived from (seed, stream_id) through SeedSequence spawning on top of
-Philox, so concurrent workers get independent, reproducible streams.
+Philox, so distinct ids give independent, reproducible streams.
 """
 
 import numpy as np

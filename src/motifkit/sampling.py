@@ -15,7 +15,6 @@ floating point touches the selection, so a seeded run reproduces bit
 for bit.
 """
 
-import bisect
 import itertools
 import math
 
@@ -93,58 +92,6 @@ def _floyd_subset(rng, nbrs, m: int) -> list:
     return out
 
 
-class NeighborBuffer:
-    """Pre-drawn neighbor pools for high-degree nodes.
-
-    A batch is a uniform batch_size-subset of the node's neighbors in
-    uniform random order, so consuming m entries is an exact without-
-    replacement draw.  A request larger than the remainder discards the
-    remainder and opens a fresh batch, which keeps each request inside
-    a single batch and its law exact.  Below the degree threshold the
-    draw happens directly, with no pool.
-    """
-
-    def __init__(self, g, rng, threshold: int = 4096, batch_size: int = 1024):
-        if threshold < 1 or batch_size < 1:
-            raise ValueError("threshold and batch size must be positive")
-        self.g = g
-        self.rng = rng
-        self.threshold = threshold
-        self.batch_size = batch_size
-        self._pool: dict[int, list] = {}
-
-    def take(self, v: int, m: int) -> list:
-        """m distinct neighbors of v, uniform without replacement."""
-        nbrs = self.g.neighbors(v)
-        d = len(nbrs)
-        if m > d:
-            raise ValueError("node degree is smaller than the request")
-        if m == 0:
-            return []
-        if d < self.threshold:
-            return _floyd_subset(self.rng, nbrs, m)
-        if min(self.batch_size, d) < m:
-            raise ValueError("buffer batch is smaller than the request")
-        pool = self._pool.get(v)
-        if pool is None or len(pool) < m:
-            pool = self._fill(nbrs)
-            self._pool[v] = pool
-        return [pool.pop() for _ in range(m)]
-
-    def _fill(self, nbrs) -> list:
-        rng = self.rng
-        b = min(self.batch_size, len(nbrs))
-        pool = [int(x) for x in nbrs[:b]]
-        for i in range(b, len(nbrs)):
-            j = randint_below(rng, i + 1)
-            if j < b:
-                pool[j] = int(nbrs[i])
-        for i in range(b - 1, 0, -1):
-            j = randint_below(rng, i + 1)
-            pool[i], pool[j] = pool[j], pool[i]
-        return pool
-
-
 class StarSampler:
     """Uniform uncolored k-stars: root first, then k-1 of its neighbors.
 
@@ -152,11 +99,10 @@ class StarSampler:
     number of star copies centered there.
     """
 
-    def __init__(self, g, k: int, rng, threshold: int = 4096, batch_size: int = 1024):
+    def __init__(self, g, k: int, rng):
         self.g = g
         self.k = k
         self.rng = rng
-        self.buffer = NeighborBuffer(g, rng, threshold, batch_size)
         deg = np.diff(g.indptr)
         self.weights = [math.comb(int(d), k - 1) for d in deg]
         self.total = sum(self.weights)
@@ -168,7 +114,7 @@ class StarSampler:
         if self._alias is None:
             self._alias = AliasTable(self.weights)
         v = self._alias.draw(self.rng)
-        return [v, *self.buffer.take(v, self.k - 1)]
+        return [v, *_floyd_subset(self.rng, self.g.neighbors(v), self.k - 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -178,10 +124,7 @@ class StarSampler:
 def _locate(rnd, v: int, x: int) -> int:
     """Record index at node v holding running-sum position x."""
     lo, hi = int(rnd.offsets[v]), int(rnd.offsets[v + 1])
-    cum = rnd.cum
-    if isinstance(cum, list):
-        return bisect.bisect_right(cum, x, lo, hi)
-    return lo + int(np.searchsorted(cum[lo:hi], x, side="right"))
+    return lo + int(np.searchsorted(rnd.cum[lo:hi], x, side="right"))
 
 
 class TreeletSampler:
@@ -337,7 +280,7 @@ class GraphletSampler:
     thinning with the representative rooting count.
     """
 
-    def __init__(self, tables, g, rng, *, threshold: int = 4096, batch_size: int = 1024):
+    def __init__(self, tables, g, rng):
         if tables.n != g.n or tables.graph_hash != g.content_hash():
             raise MismatchError("tables were built from a different graph")
         self.tables = tables
@@ -346,7 +289,7 @@ class GraphletSampler:
         self.k = tables.k
         self.treelets = TreeletSampler(tables, g, rng)
         if tables.skip_round:
-            self.stars = StarSampler(g, tables.k, rng, threshold, batch_size)
+            self.stars = StarSampler(g, tables.k, rng)
             p = colorful_probability(tables.k, tables.lam)
             self._star_weight = p.numerator * tables.star_total
             self._table_weight = p.denominator * tables.treelet_total

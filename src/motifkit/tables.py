@@ -25,10 +25,7 @@ Records are sorted by key; cumulative sums give O(log) membership and
 rank-based sampling.  On disk each round is one position-indexable
 file; payload entries are either fixed width (48-bit key plus 128-bit
 cumulative count) or variable length (16-bit header plus 1..32 raw
-count bytes, dense-index keys).  Integers are little-endian.  Files
-are assembled by appending records to a spill area in completion order
-and rewriting them sorted by node id, so the output bytes never depend
-on worker scheduling.
+count bytes, dense-index keys).  Integers are little-endian.
 """
 
 import functools
@@ -36,9 +33,7 @@ import json
 import math
 import os
 import struct
-import tempfile
 import zlib
-from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -89,29 +84,27 @@ class Round:
         self.h = h
         self.offsets = offsets  # int64, length n+1
         self.keys = keys  # int32 dense indices (k <= 8) or int64 packed keys
-        self.cnt = cnt  # numpy int64, or a plain list when counts outgrow it
+        self.cnt = cnt  # int64, or object (Python ints) once a count reaches _INT64_SAFE
         self.dense_keys = dense_keys
         self._cum = None
 
     @property
     def cum(self):
+        """Running count sums, restarting at every node."""
         if self._cum is None:
-            if isinstance(self.cnt, np.ndarray):
-                # the global running sum may pass 2^63; per-record values
-                # stay small, so subtract in wrapping uint64 space
-                total = np.cumsum(self.cnt.astype(np.uint64))
-                starts = self.offsets[:-1]
-                sizes = np.diff(self.offsets)
-                prev = np.where(starts > 0, total[np.maximum(starts, 1) - 1], 0)
-                self._cum = (total - np.repeat(prev, sizes)).astype(np.int64)
-            else:
-                cum = []
-                for v in range(len(self.offsets) - 1):
-                    run = 0
-                    for c in self.cnt[self.offsets[v] : self.offsets[v + 1]]:
-                        run += c
-                        cum.append(run)
-                self._cum = cum
+            sizes = np.diff(self.offsets)
+            # int64 holds every per-node sum only while the largest
+            # count times the longest record stays below 2^63
+            wide = self.cnt.dtype == object or (
+                self.entries() > 0
+                and int(self.cnt.max()) * int(sizes.max()) >= 1 << 63
+            )
+            # the global running sum may pass 2^63, so narrow counts
+            # subtract in wrapping uint64 space
+            total = np.cumsum(self.cnt.astype(object if wide else np.uint64))
+            prefix = np.concatenate((np.zeros(1, dtype=total.dtype), total))
+            cum = total - np.repeat(prefix[self.offsets[:-1]], sizes)
+            self._cum = cum if wide else cum.astype(np.int64)
         return self._cum
 
     def record(self, v):
@@ -135,15 +128,19 @@ class Round:
         return len(self.keys)
 
 
+def _count_array(counts: list) -> np.ndarray:
+    """int64 while every count stays below _INT64_SAFE, else Python ints."""
+    if all(c < _INT64_SAFE for c in counts):
+        return np.array(counts, dtype=np.int64)
+    return np.array(counts, dtype=object)
+
+
 def _round_eta_max(rnd: Round) -> int:
     if rnd.entries() == 0:
         return 0
-    if isinstance(rnd.cnt, np.ndarray):
-        cum = rnd.cum
-        ends = rnd.offsets[1:]
-        nz = ends > rnd.offsets[:-1]
-        return int(cum[ends[nz] - 1].max())
-    return max(rnd.eta(v) for v in range(len(rnd.offsets) - 1))
+    ends = rnd.offsets[1:]
+    nz = ends > rnd.offsets[:-1]
+    return int(rnd.cum[ends[nz] - 1].max())
 
 
 @dataclass
@@ -189,16 +186,10 @@ class TableSet:
         return f
 
     def save(self, out_dir, extra_meta=None):
+        """Write one file per round, then meta.json."""
         os.makedirs(out_dir, exist_ok=True)
         for h, rnd in sorted(self.rounds.items()):
-            writer = TableWriter(os.path.join(out_dir, f"round_{h:02d}.mct"), self, h)
-            for v in range(self.n):
-                keys, cnt = rnd.record(v)
-                writer.add(v, keys, cnt)
-            writer.finalize()
-        self.save_meta(out_dir, extra_meta)
-
-    def save_meta(self, out_dir, extra_meta=None):
+            _write_round(os.path.join(out_dir, f"round_{h:02d}.mct"), self, rnd)
         meta = {
             "format": "mct-dir-1",
             "k": self.k,
@@ -252,123 +243,106 @@ def vlc_decode(buf, pos: int = 0) -> tuple[int, int, int]:
 # round files
 
 
-def _encode_record(table: TableSet, h: int, dense: bool, keys, cnt) -> bytes:
-    if table.vlc:
-        if not dense:
-            raise MotifkitError("variable-length payload requires dense keys")
-        return b"".join(vlc_encode(int(key), int(c)) for key, c in zip(keys, cnt))
-    ite = table.ite
+def _encode_record(vlc: bool, packed, keys: list, cnt: list) -> bytes:
+    """One node's payload; packed maps dense keys to their 46-bit form
+    and is None for packed keys."""
+    if vlc:
+        return b"".join(vlc_encode(key, c) for key, c in zip(keys, cnt))
     out = bytearray()
     run = 0
     for key, c in zip(keys, cnt):
-        run += int(c)
+        run += c
         if run >= _CUM_LIMIT:
             raise CapacityError("cumulative count needs more than 128 bits")
-        if dense:
-            key = int(key)
-            packed = (int(ite.bits[key]) << 16) | int(ite.colors[key])
-        else:
-            packed = int(key) & ((1 << 46) - 1)
-        out += packed.to_bytes(6, "little")
+        key = packed[key] if packed is not None else key & ((1 << 46) - 1)
+        out += key.to_bytes(6, "little")
         out += run.to_bytes(16, "little")
     return bytes(out)
 
 
-class TableWriter:
-    """Spill-then-sort writer for one round file.
-
-    add() may run in any order (workers call it as nodes finish);
-    finalize() rewrites everything ordered by node id, so the output
-    bytes depend only on the records, never on insertion order.
-    """
-
-    def __init__(self, path, table: TableSet, h: int):
-        self.path = path
-        self.table = table
-        self.h = h
-        self.dense = table.k <= 8
-        self._spill = tempfile.TemporaryFile(dir=os.path.dirname(path) or ".")
-        self._where: dict[int, tuple[int, int]] = {}
-        self._pos = 0
-
-    def add(self, v: int, keys, cnt):
-        blob = _encode_record(self.table, self.h, self.dense, keys, cnt)
-        if blob:
-            self._spill.write(blob)
-            self._where[v] = (self._pos, len(blob))
-            self._pos += len(blob)
-
-    def finalize(self):
-        t = self.table
-        n = t.n
-        offsets = np.zeros(n + 1, dtype=np.uint64)
-        pos = 0
-        for v in range(n):
-            where = self._where.get(v)
-            if where is not None:
-                pos += where[1]
-            offsets[v + 1] = pos
-
-        crc = 0
-        for v in range(n):
-            where = self._where.get(v)
-            if where is None:
-                continue
-            self._spill.seek(where[0])
-            crc = zlib.crc32(self._spill.read(where[1]), crc)
-
-        is_final = self.h == t.k
-        skels = sorted(t.skeleton_totals) if is_final else []
-        with open(self.path, "wb") as fh:
-            fh.write(
-                _HEADER.pack(
-                    _TABLE_MAGIC, t.k, self.h, t.flags(), n,
-                    t.lam if t.lam is not None else 0.0,
-                )
+def _write_round(path, t: TableSet, rnd: Round):
+    """One round file, records in node order.  The payload checksum and
+    the node offsets are known only after the payload, so their slots
+    are filled in last."""
+    packed = None
+    if rnd.dense_keys:
+        ite = t.ite
+        packed = ((ite.bits.astype(np.int64) << 16) | ite.colors).tolist()
+    elif t.vlc:
+        raise MotifkitError("variable-length payload requires dense keys")
+    is_final = rnd.h == t.k
+    skels = sorted(t.skeleton_totals) if is_final else []
+    offs = rnd.offsets.tolist()
+    keys = rnd.keys.tolist()
+    cnt = rnd.cnt.tolist()
+    offsets = np.zeros(t.n + 1, dtype="<u8")
+    crc = 0
+    with open(path, "wb") as fh:
+        fh.write(
+            _HEADER.pack(
+                _TABLE_MAGIC, t.k, rnd.h, t.flags(), t.n,
+                t.lam if t.lam is not None else 0.0,
             )
-            fh.write((t.star_total if is_final else 0).to_bytes(16, "little"))
-            fh.write((t.treelet_total if is_final else 0).to_bytes(16, "little"))
-            fh.write(struct.pack("<I", len(skels)))
-            for sk in skels:
-                fh.write(struct.pack("<BI", sk[0], sk[1]))
-                fh.write(t.skeleton_totals[sk].to_bytes(16, "little"))
-            fh.write(struct.pack("<I", crc & 0xFFFFFFFF))
-            fh.write(offsets.astype("<u8").tobytes())
-            for v in range(n):
-                where = self._where.get(v)
-                if where is None:
-                    continue
-                self._spill.seek(where[0])
-                fh.write(self._spill.read(where[1]))
-        self._spill.close()
+        )
+        fh.write((t.star_total if is_final else 0).to_bytes(16, "little"))
+        fh.write((t.treelet_total if is_final else 0).to_bytes(16, "little"))
+        fh.write(struct.pack("<I", len(skels)))
+        for sk in skels:
+            fh.write(struct.pack("<BI", sk[0], sk[1]))
+            fh.write(t.skeleton_totals[sk].to_bytes(16, "little"))
+        crc_at = fh.tell()
+        fh.write(bytes(4 + offsets.nbytes))
+        pos = 0
+        for v in range(t.n):
+            lo, hi = offs[v], offs[v + 1]
+            if lo < hi:
+                blob = _encode_record(t.vlc, packed, keys[lo:hi], cnt[lo:hi])
+                fh.write(blob)
+                crc = zlib.crc32(blob, crc)
+                pos += len(blob)
+            offsets[v + 1] = pos
+        fh.seek(crc_at)
+        fh.write(struct.pack("<I", crc & 0xFFFFFFFF))
+        fh.write(offsets.tobytes())
 
 
-def _read_round_file(path, k: int):
+def _read_round_file(path, k: int, h: int, n: int):
     try:
         fh = open(path, "rb")
     except OSError as e:
         raise MismatchError(f"missing round file: {e}") from e
     with fh:
-        head = fh.read(_HEADER.size)
-        if len(head) < _HEADER.size:
-            raise MismatchError(f"{path}: truncated header")
-        magic, fk, h, flags, n, _lam = _HEADER.unpack(head)
+        size = os.fstat(fh.fileno()).st_size
+
+        def take(count: int) -> bytes:
+            buf = fh.read(count)
+            if len(buf) < count:
+                raise MismatchError(f"{path}: truncated round file")
+            return buf
+
+        magic, fk, file_h, flags, file_n, _lam = _HEADER.unpack(take(_HEADER.size))
         if magic != _TABLE_MAGIC:
             raise MismatchError(f"{path}: not a count table")
         if fk != k:
             raise MismatchError(f"{path}: table built for k={fk}, expected {k}")
-        star_total = int.from_bytes(fh.read(16), "little")
-        treelet_total = int.from_bytes(fh.read(16), "little")
-        (nskel,) = struct.unpack("<I", fh.read(4))
+        if file_h != h or file_n != n:
+            raise MismatchError(f"{path}: header disagrees with the manifest")
+        star_total = int.from_bytes(take(16), "little")
+        treelet_total = int.from_bytes(take(16), "little")
+        (nskel,) = struct.unpack("<I", take(4))
         skeleton_totals = {}
         for _ in range(nskel):
-            size, bits = struct.unpack("<BI", fh.read(5))
-            skeleton_totals[(size, bits)] = int.from_bytes(fh.read(16), "little")
-        (crc_expect,) = struct.unpack("<I", fh.read(4))
-        offsets = np.frombuffer(fh.read(8 * (n + 1)), dtype="<u8").astype(np.int64)
+            skel = struct.unpack("<BI", take(5))
+            skeleton_totals[skel] = int.from_bytes(take(16), "little")
+        (crc_expect,) = struct.unpack("<I", take(4))
+        if 8 * (n + 1) > size - fh.tell():
+            raise MismatchError(f"{path}: truncated round file")
+        offsets = np.frombuffer(take(8 * (n + 1)), dtype="<u8").astype(np.int64)
         payload = fh.read()
     if zlib.crc32(payload) & 0xFFFFFFFF != crc_expect:
         raise MismatchError(f"{path}: payload checksum mismatch")
+    if offsets[0] != 0 or offsets[-1] != len(payload) or np.any(np.diff(offsets) < 0):
+        raise MismatchError(f"{path}: record offsets out of range")
 
     vlc = bool(flags & _FLAG_VLC)
     dense = k <= 8
@@ -396,18 +370,13 @@ def _read_round_file(path, k: int):
                 prev = cum
                 pos += 22
         out_off[v + 1] = len(keys_out)
-    if all(c < _INT64_SAFE for c in cnt_out):
-        cnt_arr = np.array(cnt_out, dtype=np.int64)
-    else:
-        cnt_arr = cnt_out
     keys_arr = np.array(keys_out, dtype=np.int32 if dense else np.int64)
-    rnd = Round(h, out_off, keys_arr, cnt_arr, dense)
+    rnd = Round(h, out_off, keys_arr, _count_array(cnt_out), dense)
     info = {
         "flags": flags,
         "star_total": star_total,
         "treelet_total": treelet_total,
         "skeleton_totals": skeleton_totals,
-        "n": n,
     }
     return rnd, info
 
@@ -420,34 +389,42 @@ def load_tables(table_dir, graph: ColoredGraph | None = None) -> TableSet:
             meta = json.load(fh)
     except OSError as e:
         raise MismatchError(f"missing table manifest: {e}") from e
-    k = int(meta["k"])
+    except ValueError as e:  # not JSON, or not UTF-8
+        raise MismatchError(f"malformed table manifest: {e}") from e
+    try:
+        k = int(meta["k"])
+        n = int(meta["n"])
+        sizes = [int(h) for h in meta["rounds"]]
+        modes = {name: bool(meta[name]) for name in ("skip_round", "zero_root", "vlc")}
+    except (KeyError, TypeError, ValueError) as e:
+        raise MismatchError(f"malformed table manifest: {e!r}") from e
+    if not 2 <= k <= 16 or n < 0 or sizes != round_sizes(k, modes["skip_round"]):
+        raise MismatchError("malformed table manifest: k, n or rounds out of range")
     if graph is not None and meta.get("graph_hash") != graph.content_hash():
         raise MismatchError("tables were built from a different graph")
     rounds = {}
     star_total = 0
     treelet_total = 0
     skeleton_totals: dict[tuple[int, int], int] = {}
-    for h in meta["rounds"]:
+    for h in sizes:
         rnd, info = _read_round_file(
-            os.path.join(table_dir, f"round_{int(h):02d}.mct"), k
+            os.path.join(table_dir, f"round_{h:02d}.mct"), k, h, n
         )
-        rounds[rnd.h] = rnd
-        if rnd.h == k:
+        rounds[h] = rnd
+        if h == k:
             star_total = info["star_total"]
             treelet_total = info["treelet_total"]
             skeleton_totals = info["skeleton_totals"]
     return TableSet(
         k=k,
-        n=int(meta["n"]),
+        n=n,
         graph_hash=meta.get("graph_hash", ""),
-        skip_round=bool(meta["skip_round"]),
-        zero_root=bool(meta["zero_root"]),
-        vlc=bool(meta["vlc"]),
         lam=meta.get("lambda"),
         rounds=rounds,
         star_total=star_total,
         treelet_total=treelet_total,
         skeleton_totals=skeleton_totals,
+        **modes,
     )
 
 
@@ -502,11 +479,11 @@ def build_tables(
     skip_round: bool = False,
     zero_root: bool = True,
     vlc: bool = False,
-    threads: int = 1,
     out_dir=None,
     progress=None,
     engine: str = "auto",
 ) -> TableSet:
+    """Run the count DP; with out_dir, also save the tables there."""
     if g.colors is None or g.k is None:
         raise ValueError("graph must be colored first")
     if engine not in ("auto", "exact"):
@@ -518,10 +495,8 @@ def build_tables(
         )
     if vlc and k > 8:
         raise ValueError("variable-length payload requires the dense index (k <= 8)")
-    if threads < 1:
-        raise ValueError("threads must be >= 1")
     if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
+        os.makedirs(out_dir, exist_ok=True)  # a bad path fails before the DP
 
     table = TableSet(
         k=k,
@@ -535,15 +510,6 @@ def build_tables(
     )
     dense = k <= 8
     ite = tables_for(k) if dense else None
-    writers: dict[int, TableWriter] = {}
-
-    def emit(h, completion):
-        if out_dir is None:
-            return
-        writer = TableWriter(os.path.join(out_dir, f"round_{h:02d}.mct"), table, h)
-        writers[h] = writer
-        for v, keys, cnt in completion:
-            writer.add(v, keys, cnt)
 
     # round 1: one singleton per node.  Dense index i < k is the
     # singleton of color i, so codes coincide with the colors.
@@ -553,15 +519,13 @@ def build_tables(
         r1_keys = np.array(
             [_pack_key(1, 0, 1 << int(c)) for c in g.colors], dtype=np.int64
         )
-    r1 = Round(
+    table.rounds[1] = Round(
         1,
         np.arange(g.n + 1, dtype=np.int64),
         r1_keys,
         np.ones(g.n, dtype=np.int64),
         dense,
     )
-    table.rounds[1] = r1
-    emit(1, [(v, r1_keys[v : v + 1], r1.cnt[v : v + 1]) for v in range(g.n)])
 
     eta_max = {1: 1}
     for h in round_sizes(k, skip_round)[1:]:
@@ -581,37 +545,21 @@ def build_tables(
             and dense
             and bound < _INT64_SAFE
             and all(
-                isinstance(table.rounds[s].cnt, np.ndarray)
-                for pair in splits
-                for s in pair
+                table.rounds[s].cnt.dtype == np.int64 for pair in splits for s in pair
             )
         )
-        if use_fast:
-            rnd, completion = _round_fast(
-                g, table, h, splits, final, only_zero, ite, threads
-            )
-        else:
-            rnd, completion = _round_exact(
-                g, table, h, splits, final, only_zero, ite, threads
-            )
+        round_engine = _round_fast if use_fast else _round_exact
+        rnd = round_engine(g, table, h, splits, final, only_zero, ite)
         table.rounds[h] = rnd
         if final:
             _compute_totals(g, table)
-        emit(h, completion)
         eta_max[h] = _round_eta_max(rnd)
         if progress:
             progress({"event": "round_done", "h": h, "entries": rnd.entries()})
 
     if out_dir is not None:
-        for h in sorted(writers):
-            writers[h].finalize()
-        table.save_meta(out_dir)
+        table.save(out_dir)
     return table
-
-
-def _chunks(n, threads):
-    step = max(256, -(-n // (max(1, threads) * 4)))
-    return [(lo, min(n, lo + step)) for lo in range(0, n, step)]
 
 
 def _ramp(sizes, total):
@@ -622,7 +570,7 @@ def _ramp(sizes, total):
     return out - np.repeat(starts, sizes)
 
 
-def _round_fast(g, table, h, splits, final, only_zero, ite, threads):
+def _round_fast(g, table, h, splits, final, only_zero, ite):
     """Vectorized accumulation over the dense index, int64 counts."""
     merge_tbl = (
         ite.merge_table_balanced if (final and table.skip_round) else ite.merge_table
@@ -630,67 +578,60 @@ def _round_fast(g, table, h, splits, final, only_zero, ite, threads):
     beta_tbl = ite.beta_table.astype(np.int64)
     colors = g.colors
     prev = {s: table.rounds[s] for pair in splits for s in pair}
-
-    def run_block(lo, hi):
-        out = []
-        for v in range(lo, hi):
-            if only_zero and colors[v] != 0:
+    sizes = np.zeros(g.n, dtype=np.int64)
+    # empty heads fix the dtypes when no node has records
+    key_parts = [np.zeros(0, dtype=np.int32)]
+    cnt_parts = [np.zeros(0, dtype=np.int64)]
+    for v in range(g.n):
+        if only_zero and colors[v] != 0:
+            continue
+        nbrs = g.neighbors(v).astype(np.int64)
+        if len(nbrs) == 0:
+            continue
+        acc = None
+        for h1, h2 in splits:
+            k1, c1 = prev[h1].record(v)
+            if len(k1) == 0:
                 continue
-            nbrs = g.neighbors(v).astype(np.int64)
-            if len(nbrs) == 0:
+            r2 = prev[h2]
+            starts = r2.offsets[nbrs]
+            counts = r2.offsets[nbrs + 1] - starts
+            total = int(counts.sum())
+            if total == 0:
                 continue
-            acc = None
-            for h1, h2 in splits:
-                k1, c1 = prev[h1].record(v)
-                if len(k1) == 0:
+            idx = np.repeat(starts, counts) + _ramp(counts, total)
+            k2 = r2.keys[idx].astype(np.int64)
+            c2 = r2.cnt[idx]
+            k1l = k1.astype(np.int64)
+            cols = max(1, _MAX_CELLS // max(1, len(k1l)))
+            for c0 in range(0, total, cols):
+                k2c = k2[c0 : c0 + cols]
+                res = merge_tbl[k1l[:, None], k2c[None, :]]
+                sel = res != FAIL
+                if not sel.any():
                     continue
-                r2 = prev[h2]
-                starts = r2.offsets[nbrs]
-                sizes = r2.offsets[nbrs + 1] - starts
-                total = int(sizes.sum())
-                if total == 0:
-                    continue
-                idx = np.repeat(starts, sizes) + _ramp(sizes, total)
-                k2 = r2.keys[idx].astype(np.int64)
-                c2 = r2.cnt[idx]
-                k1l = k1.astype(np.int64)
-                cols = max(1, _MAX_CELLS // max(1, len(k1l)))
-                for c0 in range(0, total, cols):
-                    k2c = k2[c0 : c0 + cols]
-                    res = merge_tbl[k1l[:, None], k2c[None, :]]
-                    sel = res != FAIL
-                    if not sel.any():
-                        continue
-                    if acc is None:
-                        acc = np.zeros(ite.n, dtype=np.int64)
-                    prod = c1[:, None] * c2[c0 : c0 + cols][None, :]
-                    np.add.at(acc, res[sel].astype(np.int64), prod[sel])
-            if acc is None:
-                continue
-            nz = np.nonzero(acc)[0]
-            if len(nz) == 0:
-                continue
-            vals = acc[nz]
-            div = beta_tbl[nz]
-            if np.any(vals % div):
-                raise MotifkitError("accumulated counts not divisible by multiplicity")
-            out.append((v, nz.astype(np.int32), vals // div))
-        return out
-
-    completion = []
-    if threads == 1:
-        completion.extend(run_block(0, g.n))
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [
-                pool.submit(run_block, lo, hi) for lo, hi in _chunks(g.n, threads)
-            ]
-            for fut in as_completed(futures):
-                completion.extend(fut.result())
-    return _freeze_round(g.n, h, completion, dense=True), completion
+                if acc is None:
+                    acc = np.zeros(ite.n, dtype=np.int64)
+                prod = c1[:, None] * c2[c0 : c0 + cols][None, :]
+                np.add.at(acc, res[sel].astype(np.int64), prod[sel])
+        if acc is None:
+            continue
+        nz = np.nonzero(acc)[0]
+        if len(nz) == 0:
+            continue
+        vals = acc[nz]
+        div = beta_tbl[nz]
+        if np.any(vals % div):
+            raise MotifkitError("accumulated counts not divisible by multiplicity")
+        sizes[v] = len(nz)
+        key_parts.append(nz.astype(np.int32))
+        cnt_parts.append(vals // div)
+    return _freeze_round(
+        h, sizes, np.concatenate(key_parts), np.concatenate(cnt_parts), dense=True
+    )
 
 
-def _round_exact(g, table, h, splits, final, only_zero, ite, threads):
+def _round_exact(g, table, h, splits, final, only_zero, ite):
     """Reference engine: dict accumulation, arbitrary precision."""
     colors = g.colors
     k = table.k
@@ -703,93 +644,65 @@ def _round_exact(g, table, h, splits, final, only_zero, ite, threads):
         )
         beta_arr = ite.beta_table
     balanced = final and table.skip_round
-
-    def run_block(lo, hi):
-        out = []
-        for v in range(lo, hi):
-            if only_zero and colors[v] != 0:
-                continue
-            acc: dict[int, int] = {}
-            for h1, h2 in splits:
-                k1, c1 = table.rounds[h1].record(v)
-                if len(k1) == 0:
-                    continue
-                pairs1 = [(int(a), int(b)) for a, b in zip(k1, c1)]
-                r2 = table.rounds[h2]
-                for u in g.neighbors(v):
-                    k2, c2 = r2.record(int(u))
-                    for key2, cnt2 in zip(k2, c2):
-                        key2 = int(key2)
-                        cnt2 = int(cnt2)
-                        for key1, cnt1 in pairs1:
-                            if dense:
-                                res = int(merge_tbl[key1, key2])
-                                if res == FAIL:
-                                    continue
-                                acc[res] = acc.get(res, 0) + cnt1 * cnt2
-                            else:
-                                mb = (
-                                    _merge_balanced(key1, key2, k)
-                                    if balanced
-                                    else _merge_canonical(key1, key2, k)
-                                )
-                                if mb is None:
-                                    continue
-                                acc[mb[0]] = acc.get(mb[0], 0) + cnt1 * cnt2
-            if not acc:
-                continue
-            keys = sorted(acc)
-            vals = []
-            for key in keys:
-                if dense:
-                    div = int(beta_arr[key])
-                else:
-                    size, bits, _ = _unpack_key(key)
-                    div = _beta_packed(size, bits)
-                q, r = divmod(acc[key], div)
-                if r:
-                    raise MotifkitError(
-                        "accumulated counts not divisible by multiplicity"
-                    )
-                if q >= _COUNT_LIMIT:
-                    raise CapacityError("count needs more than 256 bits")
-                vals.append(q)
-            out.append((v, keys, vals))
-        return out
-
-    completion = []
-    if threads == 1:
-        completion.extend(run_block(0, g.n))
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [
-                pool.submit(run_block, lo, hi) for lo, hi in _chunks(g.n, threads)
-            ]
-            for fut in as_completed(futures):
-                completion.extend(fut.result())
-    return _freeze_round(g.n, h, completion, dense=dense), completion
-
-
-def _freeze_round(n, h, completion, dense):
-    per_node = {v: (keys, cnt) for v, keys, cnt in completion}
-    offsets = np.zeros(n + 1, dtype=np.int64)
+    sizes = np.zeros(g.n, dtype=np.int64)
     all_keys: list[int] = []
     all_cnt: list[int] = []
-    big = False
-    for v in range(n):
-        rec = per_node.get(v)
-        if rec is not None:
-            keys, cnt = rec
-            all_keys.extend(int(x) for x in keys)
-            for c in cnt:
-                c = int(c)
-                if c >= _INT64_SAFE:
-                    big = True
-                all_cnt.append(c)
-        offsets[v + 1] = len(all_keys)
+    for v in range(g.n):
+        if only_zero and colors[v] != 0:
+            continue
+        acc: dict[int, int] = {}
+        for h1, h2 in splits:
+            k1, c1 = table.rounds[h1].record(v)
+            if len(k1) == 0:
+                continue
+            pairs1 = [(int(a), int(b)) for a, b in zip(k1, c1)]
+            r2 = table.rounds[h2]
+            for u in g.neighbors(v):
+                k2, c2 = r2.record(int(u))
+                for key2, cnt2 in zip(k2, c2):
+                    key2 = int(key2)
+                    cnt2 = int(cnt2)
+                    for key1, cnt1 in pairs1:
+                        if dense:
+                            res = int(merge_tbl[key1, key2])
+                            if res == FAIL:
+                                continue
+                            acc[res] = acc.get(res, 0) + cnt1 * cnt2
+                        else:
+                            mb = (
+                                _merge_balanced(key1, key2, k)
+                                if balanced
+                                else _merge_canonical(key1, key2, k)
+                            )
+                            if mb is None:
+                                continue
+                            acc[mb[0]] = acc.get(mb[0], 0) + cnt1 * cnt2
+        if not acc:
+            continue
+        keys = sorted(acc)
+        for key in keys:
+            if dense:
+                div = int(beta_arr[key])
+            else:
+                size, bits, _ = _unpack_key(key)
+                div = _beta_packed(size, bits)
+            q, r = divmod(acc[key], div)
+            if r:
+                raise MotifkitError("accumulated counts not divisible by multiplicity")
+            if q >= _COUNT_LIMIT:
+                raise CapacityError("count needs more than 256 bits")
+            all_cnt.append(q)
+        sizes[v] = len(keys)
+        all_keys.extend(keys)
     keys_arr = np.array(all_keys, dtype=np.int32 if dense else np.int64)
-    cnt_arr = all_cnt if big else np.array(all_cnt, dtype=np.int64)
-    return Round(h, offsets, keys_arr, cnt_arr, dense)
+    return _freeze_round(h, sizes, keys_arr, _count_array(all_cnt), dense=dense)
+
+
+def _freeze_round(h, sizes, keys, cnt, dense):
+    """A Round from records concatenated in node order."""
+    offsets = np.zeros(len(sizes) + 1, dtype=np.int64)
+    np.cumsum(sizes, out=offsets[1:])
+    return Round(h, offsets, keys, cnt, dense)
 
 
 def _compute_totals(g, table: TableSet):
@@ -801,15 +714,14 @@ def _compute_totals(g, table: TableSet):
     if rnd.dense_keys:
         ite = table.ite
         skel_keys = [ite.skeleton_list[int(s)] for s in ite.skeleton_table]
-        cnt_iter = rnd.cnt.tolist() if isinstance(rnd.cnt, np.ndarray) else rnd.cnt
-        for key, c in zip(rnd.keys.tolist(), cnt_iter):
+        for key, c in zip(rnd.keys.tolist(), rnd.cnt.tolist()):
             sk = skel_keys[key]
-            raw[sk] = raw.get(sk, 0) + int(c)
+            raw[sk] = raw.get(sk, 0) + c
     else:
-        for key, c in zip(rnd.keys.tolist(), rnd.cnt):
-            size, bits, _ = _unpack_key(int(key))
+        for key, c in zip(rnd.keys.tolist(), rnd.cnt.tolist()):
+            size, bits, _ = _unpack_key(key)
             sk = treelets.skeleton_of(size, bits)
-            raw[sk] = raw.get(sk, 0) + int(c)
+            raw[sk] = raw.get(sk, 0) + c
 
     if table.skip_round:
         mu_of = {sk: mu for sk, (_r, _p1, _p2, mu) in balanced_split_map(k).items()}

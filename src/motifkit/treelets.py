@@ -389,13 +389,10 @@ def balanced_split_map(k: int):
 class TreeletTables:
     """Dense index tables over all colored treelets on <= k <= 8 nodes.
 
-    Treelets get consecutive indices in the total order; merge,
-    decomposition, divisor and skeleton lookups become array reads.
-    The arrays rebuild deterministically in a few seconds, or round-trip
-    through a small cache file (save/load).
+    Treelets get consecutive indices in the total order; merge, divisor
+    and skeleton lookups become array reads.  The arrays rebuild
+    deterministically in a few seconds.
     """
-
-    MAGIC = b"ITE1"
 
     def __init__(self, k: int):
         if not 1 <= k <= 8:
@@ -432,7 +429,6 @@ class TreeletTables:
         self.skeleton_table = self.skeleton_by_shape[self.shape_id]
 
         self._build_merge_tables(shape_index)
-        self._build_decomp_table()
 
     # -- construction ------------------------------------------------------
 
@@ -501,15 +497,6 @@ class TreeletTables:
             bal[keep] = table[keep]
         self.merge_table_balanced = bal
 
-    def _build_decomp_table(self):
-        self.decomp_table = np.full((self.n, 2), FAIL, dtype=np.uint16)
-        for i, t in enumerate(self.treelets):
-            if t.shape.size == 1:
-                continue
-            t1, t2 = canonical_decompose(t)
-            self.decomp_table[i, 0] = self.index[t1.key]
-            self.decomp_table[i, 1] = self.index[t2.key]
-
     # -- lookups -----------------------------------------------------------
 
     def to_code(self, t: ColoredTreelet) -> int:
@@ -520,37 +507,6 @@ class TreeletTables:
 
     def codes_of_size(self, h: int) -> np.ndarray:
         return np.nonzero(self.size == h)[0]
-
-    def star_skeleton_id(self):
-        sk = star_skeleton(self.k)
-        return self.skeleton_index.get(sk)
-
-    # -- persistence -------------------------------------------------------
-
-    def save(self, path):
-        with open(path, "wb") as fh:
-            fh.write(self.MAGIC)
-            fh.write(bytes([self.k]))
-            fh.write(self.n.to_bytes(4, "little"))
-            for arr in (self.merge_table, self.merge_table_balanced,
-                        self.decomp_table, self.beta_table, self.skeleton_table):
-                fh.write(arr.tobytes())
-
-    def load_check(self, path) -> bool:
-        """Validate a cache file against the freshly built tables."""
-        try:
-            with open(path, "rb") as fh:
-                if fh.read(4) != self.MAGIC or fh.read(1) != bytes([self.k]):
-                    return False
-                if int.from_bytes(fh.read(4), "little") != self.n:
-                    return False
-                for arr in (self.merge_table, self.merge_table_balanced,
-                            self.decomp_table, self.beta_table, self.skeleton_table):
-                    if fh.read(arr.nbytes) != arr.tobytes():
-                        return False
-                return fh.read(1) == b""
-        except OSError:
-            return False
 
 
 @functools.lru_cache(maxsize=8)

@@ -213,15 +213,73 @@ def test_console_script():
     assert "graphlet classes: 2" in proc.stdout
 
 
-def test_threads_flag_deterministic(tmp_path):
-    graph, tables = _build_triangle(tmp_path)
+def test_uniform_sample_deterministic(tmp_path):
+    # a triangle with a pendant path; seed 11 leaves colorful copies of
+    # both k=3 classes, so the report depends on every draw
+    graph = tmp_path / "g.txt"
+    graph.write_text("0 1\n1 2\n2 0\n2 3\n3 4\n")
+    tables = str(tmp_path / "tab")
+    assert main(
+        ["build", "--graph", str(graph), "-k", "3", "--seed", "11", "--tables", tables]
+    ) == 0
     outs = []
-    for threads in ("1", "4"):
-        out = tmp_path / f"r{threads}.csv"
+    for run in range(2):
+        out = tmp_path / f"r{run}.csv"
         rc = main(
-            ["sample", "--graph", graph, "--tables", tables, "--samples", "96",
-             "--seed", "7", "--threads", threads, "--out", str(out)]
+            ["sample", "--graph", str(graph), "--tables", tables, "--mode", "uniform",
+             "--samples", "96", "--seed", "7", "--out", str(out)]
         )
         assert rc == 0
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
+    rows = list(csv.DictReader(outs[0].decode().splitlines()))
+    assert len(rows) == 2 and all(int(r["samples"]) > 0 for r in rows)
+
+
+def _bad_json(tab):
+    (tab / "meta.json").write_text("{not json")
+
+
+def _no_rounds(tab):
+    meta = json.loads((tab / "meta.json").read_text())
+    del meta["rounds"]
+    (tab / "meta.json").write_text(json.dumps(meta))
+
+
+def _huge_n(tab):
+    path = tab / "round_03.mct"
+    blob = bytearray(path.read_bytes())
+    blob[8:16] = (1 << 40).to_bytes(8, "little")  # the header's node count
+    path.write_bytes(bytes(blob))
+
+
+def _huge_n_everywhere(tab):
+    # manifest and headers agree, so only the file size can catch it
+    meta = json.loads((tab / "meta.json").read_text())
+    meta["n"] = 1 << 40
+    (tab / "meta.json").write_text(json.dumps(meta))
+    for path in tab.glob("round_*.mct"):
+        blob = bytearray(path.read_bytes())
+        blob[8:16] = (1 << 40).to_bytes(8, "little")
+        path.write_bytes(bytes(blob))
+
+
+def _cut_round(tab):
+    path = tab / "round_03.mct"
+    path.write_bytes(path.read_bytes()[:30])
+
+
+@pytest.mark.parametrize(
+    "corrupt", [_bad_json, _no_rounds, _huge_n, _huge_n_everywhere, _cut_round]
+)
+def test_corrupted_tables_exit_5(tmp_path, capsys, corrupt):
+    graph, tables = _build_triangle(tmp_path)
+    corrupt(tmp_path / "tab")
+    capsys.readouterr()
+    rc = main(
+        ["sample", "--graph", graph, "--tables", tables, "--samples", "8",
+         "--out", str(tmp_path / "r.csv")]
+    )
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 5
+    assert len(err) == 1 and err[0].startswith("error:")

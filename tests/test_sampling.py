@@ -16,7 +16,6 @@ from motifkit.rng import stream
 from motifkit.sampling import (
     AliasTable,
     GraphletSampler,
-    NeighborBuffer,
     StarSampler,
     TreeletSampler,
     _floyd_subset,
@@ -81,31 +80,6 @@ def test_floyd_subset_law():
         seen[frozenset(pick)] += 1
     assert len(seen) == comb(5, 3)
     assert _uniform_pvalue(seen, list(seen)) > 1e-3
-
-
-def test_neighbor_buffer_direct_and_buffered(star5):
-    rng = stream(4)
-    direct = NeighborBuffer(star5, rng, threshold=4096)
-    picks = direct.take(0, 3)
-    assert len(set(picks)) == 3 and set(picks) <= {1, 2, 3, 4, 5}
-
-    forced = NeighborBuffer(star5, stream(5), threshold=1, batch_size=16)
-    seen = Counter()
-    for _ in range(30000):
-        pair = frozenset(forced.take(0, 2))
-        assert len(pair) == 2
-        seen[pair] += 1
-    assert len(seen) == comb(5, 2)
-    assert _uniform_pvalue(seen, list(seen)) > 1e-3
-
-
-def test_neighbor_buffer_validates(star5):
-    buf = NeighborBuffer(star5, stream(6), threshold=4096)
-    with pytest.raises(ValueError):
-        buf.take(0, 6)  # degree is 5
-    tight = NeighborBuffer(star5, stream(7), threshold=1, batch_size=2)
-    with pytest.raises(ValueError):
-        tight.take(0, 3)  # batch cannot cover the request
 
 
 def test_star_sampler_weights_roots_by_degree():

@@ -10,12 +10,14 @@ from motifkit.errors import MismatchError
 from motifkit.graph import color_uniform
 from motifkit.rng import stream
 from motifkit.tables import (
+    Round,
     build_tables,
     load_tables,
     round_sizes,
     vlc_decode,
     vlc_encode,
 )
+from motifkit.sampling import _locate
 from motifkit.treelets import ColoredTreelet, Shape, is_star, tables_for
 
 
@@ -140,16 +142,51 @@ def test_load_rejects_mismatched_graph(tmp_path):
     assert load_tables(tmp_path / "t").treelet_total >= 0  # graphless load works
 
 
-def test_threaded_build_is_byte_identical(tmp_path):
+def test_build_out_dir_matches_save(tmp_path):
     g = _colored(random_graph(40, 0.15, 15), 5, 15)
-    build_tables(g, zero_root=True, threads=1, out_dir=tmp_path / "a")
-    build_tables(g, zero_root=True, threads=4, out_dir=tmp_path / "b")
-    for name in sorted(p.name for p in (tmp_path / "a").iterdir()):
-        if name == "meta.json":
-            continue  # holds wall-clock fields
+    build_tables(g, zero_root=True, out_dir=tmp_path / "a")
+    build_tables(g, zero_root=True).save(tmp_path / "b")
+    names = sorted(p.name for p in (tmp_path / "a").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "b").iterdir())
+    for name in names:
         assert (tmp_path / "a" / name).read_bytes() == (
             tmp_path / "b" / name
         ).read_bytes(), name
+
+
+def _check_running_sums(rnd):
+    for v in range(len(rnd.offsets) - 1):
+        lo = int(rnd.offsets[v])
+        run = 0
+        for i, c in enumerate(rnd.record(v)[1].tolist(), start=lo):
+            run += c
+            assert rnd.cum[i] == run
+            assert _locate(rnd, v, run - c) == i
+            assert _locate(rnd, v, run - 1) == i
+        assert rnd.eta(v) == run
+
+
+@pytest.mark.parametrize("vlc", [False, True])
+@pytest.mark.parametrize("wide", [False, True])
+def test_wide_counts_round_trip(tmp_path, vlc, wide):
+    k = 4
+    g = _colored(random_graph(10, 0.4, 12), k, 12)
+    tab = build_tables(g, zero_root=True, vlc=vlc)
+    old = tab.rounds[3]
+    if wide:  # every count past 2^64: exact Python ints
+        cnt = old.cnt.astype(object) * (1 << 66) + 1
+    else:  # int64 counts whose per-node sums pass 2^63
+        cnt = (1 << 62) - old.cnt
+    rnd = Round(3, old.offsets, old.keys, cnt, old.dense_keys)
+    tab.rounds[3] = rnd
+    assert max(rnd.eta(v) for v in range(g.n)) >= 1 << 63
+    _check_running_sums(rnd)
+    tab.save(tmp_path / "t")
+    back = load_tables(tmp_path / "t", graph=g)
+    assert back.rounds[3].cnt.dtype == rnd.cnt.dtype
+    for h in round_sizes(k, False):
+        assert _table_entries(back, h) == _table_entries(tab, h)
+    _check_running_sums(back.rounds[3])
 
 
 def test_build_validations(triangle):
@@ -159,8 +196,6 @@ def test_build_validations(triangle):
     g = rainbow(triangle, 3)
     with pytest.raises(ValueError):
         build_tables(g, skip_round=True, zero_root=True)
-    with pytest.raises(ValueError):
-        build_tables(g, threads=0)
     with pytest.raises(ValueError):
         build_tables(g, engine="turbo")
     big = rainbow(complete_graph(9), 9)
